@@ -326,7 +326,7 @@ func run(w io.Writer, cmd, benchFile, circuit, addr, dataDir string, tc, ratio f
 		if err != nil {
 			return err
 		}
-		out, err := proto.OptimizeWithLeakage(context.Background(), c, tc, pops.LeakageOptions{})
+		out, err := proto.Run(context.Background(), proto.NewTimingSession(c), tc, &pops.LeakageOptions{})
 		if err != nil {
 			return err
 		}

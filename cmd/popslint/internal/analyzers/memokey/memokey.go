@@ -6,10 +6,12 @@
 //
 // Three rules, all scoped to repro/internal/engine:
 //
-//  1. The Cache struct's memo map fields (results, bounds) must be
-//     keyed by a named key type, not predeclared string — so the
-//     compiler separates task keys from circuit names and the other
-//     string-shaped identifiers flowing through the engine.
+//  1. The Cache struct's memo fields (results, bounds) must be keyed
+//     by a named key type, not predeclared string — so the compiler
+//     separates task keys from circuit names and the other
+//     string-shaped identifiers flowing through the engine. A field is
+//     a map (its key type) or the engine's generic memo[K, V], by value
+//     or pointer (its first type argument K).
 //  2. A conversion to one of those key types whose operand reads
 //     netlist.Circuit.Name is flagged: deriving a memo key from a
 //     circuit's display name is exactly the aliasing bug. (Process
@@ -36,7 +38,7 @@ const (
 	StorePath = "repro/internal/store"
 )
 
-// memoFields are the Cache map fields that memoize derived results and
+// memoFields are the Cache fields that memoize derived results and
 // therefore must not be name-keyed. (aliases is exempt by design: it
 // maps a display name to a fingerprint — the value is the content key.)
 var memoFields = map[string]bool{"results": true, "bounds": true}
@@ -83,18 +85,32 @@ func checkCacheFields(pass *analysis.Pass, spec *ast.TypeSpec) {
 			if !memoFields[name.Name] {
 				continue
 			}
-			t := pass.TypesInfo.TypeOf(field.Type)
-			m, ok := types.Unalias(t).Underlying().(*types.Map)
-			if !ok {
-				continue
-			}
-			if !isNamedKeyType(m.Key()) {
+			key := memoKeyType(pass.TypesInfo.TypeOf(field.Type))
+			if key != nil && !isNamedKeyType(key) {
 				pass.Reportf(field.Pos(),
-					"Cache.%s is keyed by %s: memo maps must use a named key type derived from netlist.Fingerprint/PathSignature, not raw strings (circuit-name aliasing)",
-					name.Name, m.Key())
+					"Cache.%s is keyed by %s: memos must use a named key type derived from netlist.Fingerprint/PathSignature, not raw strings (circuit-name aliasing)",
+					name.Name, key)
 			}
 		}
 	}
+}
+
+// memoKeyType returns the key type of a memo field: the first type
+// argument of the engine's generic memo (by value or pointer), or a
+// map's key type. It returns nil for any other type.
+func memoKeyType(t types.Type) types.Type {
+	t = types.Unalias(t)
+	if p, ok := t.(*types.Pointer); ok {
+		t = types.Unalias(p.Elem())
+	}
+	if n, ok := t.(*types.Named); ok && n.TypeArgs().Len() > 0 &&
+		n.Obj().Name() == "memo" && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == EnginePath {
+		return n.TypeArgs().At(0)
+	}
+	if m, ok := t.Underlying().(*types.Map); ok {
+		return m.Key()
+	}
+	return nil
 }
 
 // isNamedKeyType reports whether t is a declared (non-predeclared) key

@@ -10,12 +10,15 @@ type taskKey string
 
 type resultEntry struct{ data []byte }
 
+// memo mirrors the production generic memo.
+type memo[K comparable, V any] struct{ entries map[K]V }
+
 // Cache mirrors the production memo shape: results is properly typed,
 // bounds regressed to a raw string key.
 type Cache struct {
-	results map[taskKey]*resultEntry
-	bounds  map[string]*resultEntry // want `Cache.bounds is keyed by string`
-	aliases map[string]string
+	results *memo[taskKey, *resultEntry]
+	bounds  *memo[string, float64] // want `Cache.bounds is keyed by string`
+	aliases *memo[string, string]
 	tier    store.Store
 }
 

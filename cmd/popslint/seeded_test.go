@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -11,6 +12,7 @@ import (
 	"popslint/internal/analysis"
 	"popslint/internal/analyzers/locksafe"
 	"popslint/internal/analyzers/maporder"
+	"popslint/internal/analyzers/memokey"
 	"popslint/internal/analyzers/parcapture"
 	"popslint/internal/analyzers/rngstream"
 )
@@ -173,6 +175,33 @@ func (x *notifier) bump() {
 }
 `})
 	wantRed(t, diags, "channel send while holding x.mu")
+}
+
+// TestSeededStringKeyedMemoGoesRed: the engine's memos are values of
+// the generic memo[K, V], so memokey rule 1 must read the key off the
+// type argument; a map-shaped memo field stays covered too. The
+// taskKey-keyed control must stay green.
+func TestSeededStringKeyedMemoGoesRed(t *testing.T) {
+	const shape = `package engine
+type taskKey string
+type memo[K comparable, V any] struct{ entries map[K]V }
+type Cache struct {
+	results %s
+}
+`
+	for _, field := range []string{
+		"*memo[string, int] // seeded violation: string-keyed generic memo",
+		"memo[string, int] // seeded violation: by value",
+		"map[string]int // seeded violation: string-keyed memo map",
+	} {
+		diags := analyzeSeeded(t, memokey.Analyzer, nil,
+			memPkg{"repro/internal/engine", fmt.Sprintf(shape, field)})
+		wantRed(t, diags, "Cache.results is keyed by string")
+	}
+	if diags := analyzeSeeded(t, memokey.Analyzer, nil,
+		memPkg{"repro/internal/engine", fmt.Sprintf(shape, "*memo[taskKey, int]")}); len(diags) != 0 {
+		t.Errorf("taskKey-keyed memo flagged: %+v", diags)
+	}
 }
 
 // TestSeededCleanStaysGreen is the control: the blessed version of

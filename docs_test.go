@@ -335,6 +335,53 @@ func TestDocsParallelismCovered(t *testing.T) {
 	}
 }
 
+// removedDrivers matches the circuit drivers that Protocol.Run
+// replaced, so no document keeps pointing readers at them.
+var removedDrivers = regexp.MustCompile(`\b(OptimizeCircuitContext|OptimizeSession|OptimizeWithLeakage|OptimizeWithLeakageSession)\b`)
+
+// TestDocsEntryPointCovered pins the one circuit-level entry point into
+// the documentation: the architecture page must name Protocol.Run, and
+// neither the README, the docs/ pages nor any Go doc comment of the
+// module may name a removed driver. perfbench is skipped: it is its own
+// module, versioned with the benchmark.
+func TestDocsEntryPointCovered(t *testing.T) {
+	arch, err := os.ReadFile(filepath.Join("docs", "ARCHITECTURE.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(arch), "Protocol.Run") {
+		t.Error("docs/ARCHITECTURE.md no longer names Protocol.Run")
+	}
+	files, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, "README.md")
+	for _, dir := range goPackageDirs(t) {
+		if dir == "perfbench" || strings.HasPrefix(dir, "perfbench"+string(filepath.Separator)) {
+			continue
+		}
+		src, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range src {
+			if !strings.HasSuffix(f, "_test.go") {
+				files = append(files, f)
+			}
+		}
+	}
+	for _, file := range files {
+		buf, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range removedDrivers.FindAllString(string(buf), -1) {
+			t.Errorf("%s names the removed driver %s; use Protocol.Run", file, m)
+		}
+	}
+}
+
 // mdLink matches inline markdown links; the first group is the target.
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 

@@ -97,18 +97,18 @@ func ExampleNewEngine() {
 	// looser constraints never cost more area: true
 }
 
-// ExampleProtocol_OptimizeWithLeakage shows the leakage-aware flow:
+// ExampleProtocol_Run shows the leakage-aware flow:
 // the Fig. 7 protocol sizes the circuit to Tc, then the selective
 // multi-Vt pass promotes non-critical gates to high-threshold devices,
 // cutting subthreshold leakage without violating the constraint.
-func ExampleProtocol_OptimizeWithLeakage() {
+func ExampleProtocol_Run() {
 	model := pops.NewModel(pops.DefaultProcess())
 	circuit, _ := pops.Benchmark("fpd")
 	path, _, _ := pops.CriticalPath(circuit, model)
 	b, _ := pops.Bounds(model, path.Clone())
 
 	proto, _ := pops.NewProtocol(pops.ProtocolConfig{Model: model})
-	out, _ := proto.OptimizeWithLeakage(context.Background(), circuit, 1.5*b.Tmin, pops.LeakageOptions{})
+	out, _ := proto.Run(context.Background(), proto.NewTimingSession(circuit), 1.5*b.Tmin, &pops.LeakageOptions{})
 
 	lr := out.Leakage
 	fmt.Println("constraint met:", out.Feasible && out.Delay <= 1.5*b.Tmin)

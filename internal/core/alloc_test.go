@@ -192,9 +192,9 @@ func TestOptimizeStepInstrumentedAllocationFree(t *testing.T) {
 	}
 }
 
-// TestWorkspaceRoundMatchesPlainStep guards the equivalence of the two
-// step paths: the exported workspace-free OptimizeStep and the session
-// loop's workspace-backed rounds must produce identical outcomes on
+// TestWorkspaceRoundMatchesPlainStep guards workspace reuse: the
+// exported OptimizeStep (a fresh workspace per call) and Run's rounds
+// over one reused workspace must produce identical outcomes on
 // identical circuits.
 func TestWorkspaceRoundMatchesPlainStep(t *testing.T) {
 	m := delay.NewModel(tech.CMOS025())

@@ -12,11 +12,11 @@
 //	    hard   (Tc < 1.2·Tmin)   → buffer insertion & global sizing
 //
 // The path-level entry point OptimizePath realizes the decision diagram
-// on a bounded path; the circuit-level driver OptimizeCircuit iterates
+// on a bounded path; the circuit-level round loop Protocol.Run iterates
 // it over the worst paths of a netlist, replaying buffer insertions as
 // logic-preserving inverter pairs and escalating to NOR→NAND
 // restructuring when the constraint is below the buffered minimum
-// delay.
+// delay, and optionally finishes with the selective multi-Vt pass.
 package core
 
 import (
@@ -94,10 +94,10 @@ type Config struct {
 	Limits map[gate.Type]float64
 	// Sizing tunes the inner solvers.
 	Sizing sizing.Options
-	// STA configures path extraction for the circuit driver.
+	// STA configures path extraction for the round loop.
 	STA sta.Config
 	// MaxRounds bounds the optimize-worst-path iterations of the
-	// circuit driver (default 12).
+	// round loop (default 12).
 	MaxRounds int
 	// Recorder receives round and stage events; nil selects a no-op.
 	// Implementations must be concurrency-safe and allocation-free on
@@ -165,10 +165,10 @@ type PathOutcome struct {
 	Path     *delay.Path
 }
 
-// stepWorkspace is the reusable per-round scratch of the session
-// driver: path copies, critical-node and sizing buffers, and the
+// stepWorkspace is the reusable per-round scratch of the round loop:
+// path copies, critical-node and sizing buffers, and the
 // StepResult/PathOutcome values themselves. One workspace serves one
-// OptimizeSession run (and must not be shared across goroutines), so a
+// Run (and must not be shared across goroutines), so a
 // steady-state size-only round performs no heap allocation — pinned by
 // TestOptimizeStepSteadyStateAllocationFree. Structural rounds (buffer
 // replay, De Morgan rewrites) still allocate for their mutations.
@@ -185,11 +185,11 @@ type stepWorkspace struct {
 	pathNames []string // per-round path names, formatted once up front
 }
 
-// roundName returns the "<circuit>/round<N>" path name for a round,
-// identical to the workspace-free OptimizeStep's naming. All MaxRounds
-// names are formatted on first use, so steady-state rounds pay no
-// Sprintf; indices past the precomputed window (possible only for
-// external drivers that loop beyond MaxRounds) fall back to formatting.
+// roundName returns the "<circuit>/round<N>" path name for a round.
+// All MaxRounds names are formatted on first use, so steady-state
+// rounds pay no Sprintf; indices past the precomputed window (possible
+// only for external drivers that loop beyond MaxRounds) fall back to
+// formatting.
 func (ws *stepWorkspace) roundName(circuit string, round, maxRounds int) string {
 	if ws.pathNames == nil {
 		n := maxRounds
@@ -211,40 +211,31 @@ func (ws *stepWorkspace) roundName(circuit string, round, maxRounds int) string 
 // constraint tc. The input path is not modified; the outcome carries
 // the optimized copy.
 func (p *Protocol) OptimizePath(pa *delay.Path, tc float64) (*PathOutcome, error) {
-	return p.optimizePath(nil, pa, tc)
+	return p.optimizePath(&stepWorkspace{}, pa, tc)
 }
 
-// optimizePath is OptimizePath over an optional workspace. With ws set,
-// path copies and sizing results live in reused buffers, the sizing
-// iteration trace is suppressed (pure observation — identical numbers),
-// and the returned outcome points into the workspace: it is valid until
-// the next round. The buffering optimizer keeps allocating its own
-// structures either way (its calls receive a workspace-free Options so
-// its internal sizing runs cannot alias the round's live results).
+// optimizePath is OptimizePath over a workspace: path copies and sizing
+// results live in reused buffers, the sizing iteration trace is
+// suppressed (pure observation — identical numbers), and the returned
+// outcome points into the workspace: it is valid until the next round.
+// The buffering optimizer keeps allocating its own structures (its
+// calls receive a workspace-free Options so its internal sizing runs
+// cannot alias the round's live results).
 //
-//pops:noalloc with a workspace every per-round copy lands in reused buffers
+//pops:noalloc every per-round copy lands in reused workspace buffers
 func (p *Protocol) optimizePath(ws *stepWorkspace, pa *delay.Path, tc float64) (*PathOutcome, error) {
 	m := p.cfg.Model
 	opts := p.cfg.Sizing
-	var out *PathOutcome
-	var tmaxPath, work *delay.Path
-	if ws != nil {
-		opts.NoTrace = true
-		opts.Workspace = &ws.sizing
-		tmaxPath = pa.CopyInto(&ws.tmaxPath)
-		work = pa.CopyInto(&ws.work)
-		out = &ws.outcome
-		*out = PathOutcome{}
-	} else {
-		tmaxPath = pa.Clone()
-		work = pa.Clone()
-		out = &PathOutcome{} //popslint:ignore noalloc workspace-free convenience path (OptimizePath API), not the measured loop
-	}
+	opts.NoTrace = true
+	opts.Workspace = &ws.sizing
 	bufOpts := opts
 	bufOpts.Workspace = nil
+	out := &ws.outcome
+	*out = PathOutcome{}
 
 	// Delay bounds: Tmax on a throwaway copy, Tmin on the working copy.
-	tmax := sizing.Tmax(m, tmaxPath)
+	tmax := sizing.Tmax(m, pa.CopyInto(&ws.tmaxPath))
+	work := pa.CopyInto(&ws.work)
 	rmin, err := sizing.Tmin(m, work, opts)
 	if err != nil {
 		return nil, err
@@ -266,7 +257,7 @@ func (p *Protocol) optimizePath(ws *stepWorkspace, pa *delay.Path, tc float64) (
 	case Medium:
 		// Sizing meets the constraint; buffer insertion may do so at
 		// lower area (load dilution lets the gates shrink).
-		plain := clonePlain(ws, pa)
+		plain := pa.CopyInto(&ws.plain)
 		resPlain, err := sizing.Distribute(m, plain, tc, opts)
 		if err != nil {
 			return nil, err
@@ -280,7 +271,7 @@ func (p *Protocol) optimizePath(ws *stepWorkspace, pa *delay.Path, tc float64) (
 		return out, nil
 
 	case Hard:
-		plain := clonePlain(ws, pa)
+		plain := pa.CopyInto(&ws.plain)
 		resPlain, err := sizing.Distribute(m, plain, tc, opts)
 		if err != nil {
 			return nil, err
@@ -309,20 +300,11 @@ func (p *Protocol) optimizePath(ws *stepWorkspace, pa *delay.Path, tc float64) (
 			}
 		}
 		// Even the buffered structure cannot reach tc at path level;
-		// report the best effort. The circuit driver escalates to
+		// report the best effort. The round loop escalates to
 		// De Morgan restructuring.
 		out.fill("structure-modification-required", best.Path, best.Delay, best.Area, best.Inserted, false)
 		return out, nil
 	}
-}
-
-// clonePlain copies pa into the workspace's plain-sizing buffer, or
-// clones it fresh without a workspace.
-func clonePlain(ws *stepWorkspace, pa *delay.Path) *delay.Path {
-	if ws != nil {
-		return pa.CopyInto(&ws.plain)
-	}
-	return pa.Clone()
 }
 
 //pops:noalloc
@@ -351,12 +333,13 @@ type CircuitOutcome struct {
 	PathOutcomes []*PathOutcome
 
 	// Leakage reports the selective Vt-assignment pass when the run
-	// was leakage-aware (OptimizeWithLeakage); nil otherwise.
+	// was leakage-aware (Run with non-nil leakage options); nil
+	// otherwise.
 	Leakage *leakage.Result
 }
 
-// StepResult reports one round of the circuit driver (one
-// OptimizeStep call).
+// StepResult reports one round of the round loop (one OptimizeStep
+// call).
 type StepResult struct {
 	// Met is true when the circuit already satisfied Tc at entry; no
 	// work was performed and every other field is zero.
@@ -385,15 +368,15 @@ type StepResult struct {
 // progress until the whole path set converges. Capped at 2%.
 const stepSlack = 5e-4
 
-// NewTimingSession builds the reusable incremental-STA session the
-// round-loop entry points below share: one session per circuit, its
-// buffers recycled across every round, full re-analysis only when the
+// NewTimingSession builds the reusable incremental-STA session Run and
+// the external step drivers take: one session per circuit, its buffers
+// recycled across every round, full re-analysis only when the
 // circuit's structural epoch moves.
 func (p *Protocol) NewTimingSession(c *netlist.Circuit) *sta.Session {
 	return sta.NewSession(c, p.cfg.Model, p.cfg.STA)
 }
 
-// OptimizeStep runs one round of the circuit driver: analyze
+// OptimizeStep runs one round of the round loop: analyze
 // (incrementally, through the session), extract the worst path, run the
 // Fig. 7 path protocol at a progressively tightened constraint, write
 // the sizes back, replay inserted buffers as inverter pairs, and
@@ -408,22 +391,22 @@ func (p *Protocol) NewTimingSession(c *netlist.Circuit) *sta.Session {
 // into the session's reused buffers. Either way the timing handed to
 // the following round is bit-identical to a fresh full analysis.
 //
-// Exporting the step lets external drivers — notably the concurrent
-// batch engine in internal/engine — interleave rounds with
-// cancellation checks and progress reporting while remaining
-// result-identical to OptimizeCircuit.
+// Exporting the step lets external drivers interleave rounds with
+// their own instrumentation while remaining result-identical to Run.
+// Each call runs over a fresh workspace, so the result stays valid
+// after later steps.
 func (p *Protocol) OptimizeStep(sess *sta.Session, tc float64, round int) (*StepResult, error) {
-	return p.optimizeStep(nil, sess, tc, round)
+	return p.optimizeStep(&stepWorkspace{}, sess, tc, round)
 }
 
-// optimizeStep is OptimizeStep over an optional workspace: with ws set,
-// the critical path, its bounded-path object, the sizing scratch and
-// the returned StepResult/PathOutcome all live in reused buffers, so a
-// size-only round allocates nothing. The returned result is valid
-// until the next optimizeStep call with the same workspace — the
-// session loop copies what it keeps.
+// optimizeStep is OptimizeStep over a workspace: the critical path, its
+// bounded-path object, the sizing scratch and the returned
+// StepResult/PathOutcome all live in reused buffers, so a size-only
+// round allocates nothing. The returned result is valid until the next
+// optimizeStep call with the same workspace — Run copies what it
+// keeps.
 //
-//pops:noalloc size-only rounds with a workspace are the measured zero-alloc path
+//pops:noalloc size-only rounds are the measured zero-alloc path
 func (p *Protocol) optimizeStep(ws *stepWorkspace, sess *sta.Session, tc float64, round int) (*StepResult, error) {
 	m := p.cfg.Model
 	c := sess.Circuit()
@@ -431,14 +414,8 @@ func (p *Protocol) optimizeStep(ws *stepWorkspace, sess *sta.Session, tc float64
 	if err != nil {
 		return nil, err
 	}
-	var st *StepResult
-	if ws != nil {
-		st = &ws.step
-		*st = StepResult{}
-	} else {
-		st = &StepResult{} //popslint:ignore noalloc workspace-free convenience path (OptimizeStep API), not the measured loop
-	}
-	st.WorstDelay = res.WorstDelay
+	st := &ws.step
+	*st = StepResult{WorstDelay: res.WorstDelay}
 	if res.WorstDelay <= tc {
 		st.Met = true
 		return st, nil
@@ -448,33 +425,16 @@ func (p *Protocol) optimizeStep(ws *stepWorkspace, sess *sta.Session, tc float64
 		tighten = 0.02
 	}
 	tcEff := tc * (1 - tighten)
-	var pa *delay.Path
-	if ws != nil {
-		ws.crit = res.AppendCriticalNodes(ws.crit)
-		if len(ws.crit) == 0 {
-			//popslint:ignore noalloc degenerate-circuit error path
-			return nil, fmt.Errorf("core: circuit %s has no critical path", c.Name)
-		}
-		name := ws.roundName(c.Name, round, p.cfg.MaxRounds)
-		if err := sta.PathFromNodesInto(&ws.path, name, ws.crit, m, p.cfg.STA); err != nil {
-			return nil, err
-		}
-		pa = &ws.path
-	} else {
-		// Workspace-free convenience path (OptimizeStep API): allocation
-		// here is expected, only the ws branch above is measured.
-		nodes := res.CriticalNodes()
-		if len(nodes) == 0 {
-			//popslint:ignore noalloc degenerate-circuit error path
-			return nil, fmt.Errorf("core: circuit %s has no critical path", c.Name)
-		}
-		//popslint:ignore noalloc workspace-free path names its round ad hoc
-		pa, err = sta.PathFromNodes(fmt.Sprintf("%s/round%d", c.Name, round), nodes, m, p.cfg.STA)
-		if err != nil {
-			return nil, err
-		}
+	ws.crit = res.AppendCriticalNodes(ws.crit)
+	if len(ws.crit) == 0 {
+		//popslint:ignore noalloc degenerate-circuit error path
+		return nil, fmt.Errorf("core: circuit %s has no critical path", c.Name)
 	}
-	po, err := p.optimizePath(ws, pa, tcEff)
+	name := ws.roundName(c.Name, round, p.cfg.MaxRounds)
+	if err := sta.PathFromNodesInto(&ws.path, name, ws.crit, m, p.cfg.STA); err != nil {
+		return nil, err
+	}
+	po, err := p.optimizePath(ws, &ws.path, tcEff)
 	if err != nil {
 		return nil, err
 	}
@@ -504,11 +464,8 @@ func (p *Protocol) optimizeStep(ws *stepWorkspace, sess *sta.Session, tc float64
 	// gates; after structural mutations the epoch has moved and the next
 	// Analyze re-propagates the whole circuit into the same buffers.
 	if res.Fresh() {
-		changed := appendLogicNodes(wsChanged(ws), po.Path)
-		if ws != nil {
-			ws.changed = changed
-		}
-		if _, err := res.Update(changed...); err != nil {
+		ws.changed = appendLogicNodes(ws.changed[:0], po.Path)
+		if _, err := res.Update(ws.changed...); err != nil {
 			return nil, err
 		}
 	}
@@ -516,20 +473,10 @@ func (p *Protocol) optimizeStep(ws *stepWorkspace, sess *sta.Session, tc float64
 	return st, nil
 }
 
-// wsChanged returns the workspace's incremental-update buffer
-// (truncated), or nil without a workspace.
-func wsChanged(ws *stepWorkspace) []*netlist.Node {
-	if ws == nil {
-		return nil
-	}
-	return ws.changed[:0]
-}
-
 // Summarize closes a stepped run: it re-analyzes the circuit (served
 // from the session's incremental state when still fresh) and fills the
 // outcome's final delay, feasibility and area. External step drivers
-// call it after their round loop; OptimizeCircuit uses it for its own
-// epilogue.
+// call it after their round loop; Run uses it for its own epilogue.
 func (p *Protocol) Summarize(sess *sta.Session, out *CircuitOutcome) error {
 	res, err := sess.Analyze()
 	if err != nil {
@@ -541,35 +488,39 @@ func (p *Protocol) Summarize(sess *sta.Session, out *CircuitOutcome) error {
 	return nil
 }
 
-// OptimizeCircuit drives the protocol over a netlist: repeatedly
+// OptimizeCircuit is the one-shot form of Run: a dynamic-only run over
+// a fresh timing session for c, without cancellation. The circuit is
+// modified in place; clone first to keep the original.
+func (p *Protocol) OptimizeCircuit(c *netlist.Circuit, tc float64) (*CircuitOutcome, error) {
+	return p.Run(context.Background(), p.NewTimingSession(c), tc, nil)
+}
+
+// Run drives the protocol over the session's circuit: repeatedly
 // extract the worst path, run the path protocol, write the sizes back,
 // replay buffer insertions as logic-preserving inverter pairs, and —
 // when even buffering cannot reach Tc — rewrite the path's NOR gates by
-// De Morgan duals before retrying. The circuit is modified in place;
-// clone first to keep the original.
-func (p *Protocol) OptimizeCircuit(c *netlist.Circuit, tc float64) (*CircuitOutcome, error) {
-	return p.OptimizeCircuitContext(context.Background(), c, tc)
-}
-
-// OptimizeCircuitContext is OptimizeCircuit with cancellation between
-// rounds: it builds one timing session for the circuit and runs the
-// session driver below.
-func (p *Protocol) OptimizeCircuitContext(ctx context.Context, c *netlist.Circuit, tc float64) (*CircuitOutcome, error) {
-	return p.OptimizeSession(ctx, p.NewTimingSession(c), tc)
-}
-
-// OptimizeSession is the round loop shared by the sequential path and
-// the concurrent engine: both accumulate outcomes through the exact
-// same steps over one reusable timing session, so results are
-// byte-identical regardless of the driver. The session (usually from
-// NewTimingSession) must be configured like the protocol's own STA.
+// De Morgan duals before retrying. ctx is checked between rounds. The
+// session (usually from NewTimingSession) must be configured like the
+// protocol's own STA; its circuit is modified in place. The sequential
+// path and the concurrent engine both run this one loop, so results
+// are byte-identical regardless of the driver.
 //
 // The loop owns a step workspace: every round's path extraction,
 // sizing scratch and result values live in buffers reused across
 // rounds, so a steady-state size-only round performs no heap
 // allocation; only the retained per-round PathOutcome record is copied
 // out of the workspace.
-func (p *Protocol) OptimizeSession(ctx context.Context, sess *sta.Session, tc float64) (*CircuitOutcome, error) {
+//
+// A non-nil leak makes the run leakage-aware: after the rounds, the
+// selective multi-Vt pass of internal/leakage promotes gates on
+// non-critical paths to higher-threshold devices, each move verified
+// by incremental STA against Tc, cutting subthreshold leakage at zero
+// area and zero dynamic-power cost. The outcome's Delay and Feasible
+// then reflect the final Vt-aware timing, and its Leakage field
+// carries the power breakdown. A zero *leak is the default policy:
+// promote as far as HVT, default power-simulation vectors, and the
+// protocol's own STA configuration. A nil leak is a dynamic-only run.
+func (p *Protocol) Run(ctx context.Context, sess *sta.Session, tc float64, leak *leakage.Options) (*CircuitOutcome, error) {
 	ws := &stepWorkspace{}
 	out := &CircuitOutcome{Tc: tc}
 	start := time.Now()
@@ -602,32 +553,13 @@ func (p *Protocol) OptimizeSession(ctx context.Context, sess *sta.Session, tc fl
 	if err := p.Summarize(sess, out); err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// OptimizeWithLeakage runs the full protocol and then the selective
-// multi-Vt assignment pass of internal/leakage: gates on non-critical
-// paths are promoted to higher-threshold devices, each move verified by
-// incremental STA against Tc, cutting subthreshold leakage at zero
-// area and zero dynamic-power cost. The outcome's Delay and Feasible
-// reflect the final Vt-aware timing; its Leakage field carries the
-// power breakdown (dynamic, leakage before/after, total).
-//
-// A zero opts is the default policy: promote as far as HVT, default
-// power-simulation vectors, and the protocol's own STA configuration.
-func (p *Protocol) OptimizeWithLeakage(ctx context.Context, c *netlist.Circuit, tc float64, opts leakage.Options) (*CircuitOutcome, error) {
-	return p.OptimizeWithLeakageSession(ctx, p.NewTimingSession(c), tc, opts)
-}
-
-// OptimizeWithLeakageSession is OptimizeWithLeakage over a
-// caller-supplied timing session: the sizing rounds and the Vt pass
-// share the same incremental state, so the leakage pass starts from the
-// already-propagated timing instead of re-analyzing the circuit.
-func (p *Protocol) OptimizeWithLeakageSession(ctx context.Context, sess *sta.Session, tc float64, opts leakage.Options) (*CircuitOutcome, error) {
-	out, err := p.OptimizeSession(ctx, sess, tc)
-	if err != nil {
-		return nil, err
+	if leak == nil {
+		return out, nil
 	}
+
+	// Normalize a copy: callers such as the engine share one policy
+	// value across goroutines.
+	opts := *leak
 	if opts.STA == (sta.Config{}) {
 		opts.STA = p.cfg.STA
 	}
@@ -635,7 +567,7 @@ func (p *Protocol) OptimizeWithLeakageSession(ctx context.Context, sess *sta.Ses
 	// session may carry a per-task degree (engine idle-capacity sizing)
 	// that must not force a second leakage session. Normalize it before
 	// deciding whether the Vt pass needs different analysis slopes, and
-	// let the power profile inherit the protocol's degree when the
+	// let the power profile inherit the session's degree when the
 	// caller left it on auto.
 	opts.STA.Parallelism = sess.Config().Parallelism
 	if opts.Power.Parallelism == 0 {
@@ -644,10 +576,11 @@ func (p *Protocol) OptimizeWithLeakageSession(ctx context.Context, sess *sta.Ses
 	lsess := sess
 	if opts.STA != sess.Config() {
 		// The caller asked for different slopes in the Vt pass: give the
-		// leakage pass its own session at that configuration.
+		// leakage pass its own session at that configuration. Otherwise
+		// it starts from the rounds' already-propagated timing.
 		lsess = sta.NewSession(sess.Circuit(), p.cfg.Model, opts.STA)
 	}
-	start := time.Now()
+	start = time.Now()
 	lr, err := leakage.AssignSession(ctx, lsess, tc, opts)
 	if err != nil {
 		return nil, err

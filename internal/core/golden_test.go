@@ -99,7 +99,7 @@ func computeGoldenCell(t *testing.T, p *Protocol, m *delay.Model, name string, r
 	if err != nil {
 		t.Fatal(err)
 	}
-	lout, err := p.OptimizeWithLeakage(context.Background(), cl, tc, leakage.Options{})
+	lout, err := p.Run(context.Background(), p.NewTimingSession(cl), tc, &leakage.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,7 +196,7 @@ func TestResultMemoKeyedByContent(t *testing.T) {
 	if r1.Gates == r2.Gates {
 		t.Fatalf("distinct netlists returned one memo entry: both %d gates", r1.Gates)
 	}
-	if got := len(e.cache.results); got != 2 {
+	if got := e.cache.results.len(); got != 2 {
 		t.Fatalf("%d memo entries, want 2", got)
 	}
 
@@ -207,7 +207,7 @@ func TestResultMemoKeyedByContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(e.cache.results); got != 2 {
+	if got := e.cache.results.len(); got != 2 {
 		t.Fatalf("identical netlist under a new name added a memo entry (%d total)", got)
 	}
 	if r3.Circuit != "other" {
@@ -222,14 +222,14 @@ func TestResultMemoKeyedByContent(t *testing.T) {
 	if _, err := e.Optimize(ctx, OptimizeRequest{Circuit: "fpd", Ratio: 1.5}); err != nil {
 		t.Fatal(err)
 	}
-	n := len(e.cache.results)
+	n := e.cache.results.len()
 	if _, err := e.Optimize(ctx, OptimizeRequest{Circuit: "fpd", Ratio: 1.5}); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.cache.results) != n {
+	if e.cache.results.len() != n {
 		t.Fatal("named resubmission missed the memo")
 	}
-	if _, ok := e.cache.aliases["fpd"]; !ok {
+	if !e.cache.aliases.has("fpd") {
 		t.Fatal("suite name has no fingerprint alias")
 	}
 }

@@ -5,7 +5,8 @@
 // every Tc point of a sweep and by repeated submissions of the same
 // circuit), and whole (circuit, Tc, leakage-policy) task results
 // (shared by repeated submissions — the common case for a long-running
-// daemon). Entries are computed once under a per-key latch, so
+// daemon). Every memo is a value of the one generic memo type
+// (memo.go): entries are computed once under a per-key latch, so
 // concurrent workers hitting the same key block on one computation
 // instead of duplicating it.
 package engine
@@ -15,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/buffering"
 	"repro/internal/delay"
@@ -42,27 +42,27 @@ type boundsKey string
 // value is not usable; call NewCache. A Cache is safe for concurrent
 // use and is shared by all workers of an Engine.
 type Cache struct {
-	mu     sync.Mutex
-	limits map[string]*limitsEntry
+	// limits memoizes the library characterization per process
+	// corner (unbounded and uncounted: corners are few).
+	limits *memo[string, characterization]
 
 	// Path-bounds memo, bounded FIFO: its keys derive from
 	// client-supplied netlists, so like the result memo it must not
 	// grow without bound in a long-running daemon.
-	bounds      map[boundsKey]*boundsEntry
-	boundsOrder []boundsKey
+	bounds *memo[boundsKey, pathBounds]
 
 	// Result memoization: completed optimization tasks keyed by
 	// (process, circuit fingerprint, Tc, ratio, leakage policy),
 	// bounded FIFO.
-	results     map[taskKey]*resultEntry
-	resultOrder []taskKey
+	results *memo[taskKey, *OptimizeResult]
 
 	// aliases maps a suite circuit name to the canonical fingerprint
 	// of its deterministically generated netlist. Keying results by
 	// fingerprint instead of name keeps the memo sound when inline
 	// netlists share a name; the alias preserves the cheap name-based
-	// lookup (and every existing cache hit) for suite requests.
-	aliases map[string]string
+	// lookup (and every existing cache hit) for suite requests. Its
+	// keys are the finite suite names, so it needs no bound.
+	aliases *memo[string, string]
 
 	// metrics receives hit/miss/eviction events per memo family. The
 	// engine wires its instrument set in at construction; a standalone
@@ -73,38 +73,25 @@ type Cache struct {
 	// memo (nil: memory-only, the default). A memo miss probes it
 	// before computing; a computed result is written through to it. The
 	// tier outlives the process, so a restarted daemon serves repeated
-	// tasks without recomputation.
+	// tasks without recomputation. The result memo is not redundant
+	// with store.Memory: the memo latches decoded *OptimizeResult
+	// values under single flight, while store.Memory is the byte-level
+	// Store fake behind the store, batcher and engine tests (exported
+	// as pops.MemoryStore).
 	tier store.Store
 }
 
-// limitsEntry latches one library characterization (Flimit table rows
-// and the derived per-gate limit map) for a process corner.
-type limitsEntry struct {
-	once    sync.Once
+// characterization is one process corner's library characterization:
+// the Flimit table rows and the derived per-gate limit map.
+type characterization struct {
 	entries []buffering.TableEntry
 	limits  map[gate.Type]float64
-}
-
-// boundsEntry latches the Tmin/Tmax delay bounds of one path shape.
-type boundsEntry struct {
-	once       sync.Once
-	tmin, tmax float64
-	err        error
-}
-
-// resultEntry latches one completed optimization task. done is closed
-// when the computation finishes; waiters then read res/err without a
-// lock (single write happens-before the close).
-type resultEntry struct {
-	done chan struct{}
-	res  *OptimizeResult
-	err  error
 }
 
 // MaxResultEntries and MaxBoundsEntries bound the result and bounds
 // memos; beyond them the oldest entry is evicted (FIFO — with
 // deterministic results, re-deriving an evicted entry is harmless).
-// Both maps are fed by untrusted request streams, so neither may grow
+// Both memos are fed by untrusted request streams, so neither may grow
 // without bound.
 const (
 	MaxResultEntries = 4096
@@ -114,53 +101,29 @@ const (
 // NewCache returns an empty characterization cache.
 func NewCache() *Cache {
 	return &Cache{
-		limits:  make(map[string]*limitsEntry),
-		bounds:  make(map[boundsKey]*boundsEntry),
-		results: make(map[taskKey]*resultEntry),
-		aliases: make(map[string]string),
+		limits:  newMemo[string, characterization]("", 0),
+		bounds:  newMemo[boundsKey, pathBounds](memoBounds, MaxBoundsEntries),
+		results: newMemo[taskKey, *OptimizeResult](memoResult, MaxResultEntries),
+		aliases: newMemo[string, string](memoAlias, 0),
 	}
 }
 
 // Alias returns the memoized canonical fingerprint of a named suite
 // circuit, computing it through fp on the first request. Suite
-// benchmarks generate deterministically, so the mapping is stable; a
-// racing duplicate computation produces the identical value and is
-// harmless.
+// benchmarks generate deterministically, so the mapping is stable.
 func (ca *Cache) Alias(name string, fp func() (string, error)) (string, error) {
-	ca.mu.Lock()
-	if k, ok := ca.aliases[name]; ok {
-		ca.mu.Unlock()
-		ca.metrics.memoHit(memoAlias)
-		return k, nil
-	}
-	ca.mu.Unlock()
-	ca.metrics.memoMiss(memoAlias)
-	k, err := fp()
-	if err != nil {
-		return "", err
-	}
-	ca.mu.Lock()
-	ca.aliases[name] = k
-	ca.mu.Unlock()
-	return k, nil
+	return ca.aliases.do(context.Background(), ca.metrics, name, fp)
 }
 
 // Characterization returns the memoized library characterization of
 // the model's process corner: the Table 2 rows (gate, driver, Flimit)
 // and the per-gate insertion-limit map consumed by the protocol.
 func (ca *Cache) Characterization(m *delay.Model) ([]buffering.TableEntry, map[gate.Type]float64) {
-	ca.mu.Lock()
-	e, ok := ca.limits[m.Proc.Name]
-	if !ok {
-		e = &limitsEntry{}
-		ca.limits[m.Proc.Name] = e
-	}
-	ca.mu.Unlock()
-	e.once.Do(func() {
-		e.entries = buffering.CharacterizeLibrary(m, nil, buffering.Options{})
-		e.limits = buffering.Limits(e.entries)
+	ch, _ := ca.limits.do(context.Background(), nil, m.Proc.Name, func() (characterization, error) {
+		entries := buffering.CharacterizeLibrary(m, nil, buffering.Options{})
+		return characterization{entries: entries, limits: buffering.Limits(entries)}, nil
 	})
-	return e.entries, e.limits
+	return ch.entries, ch.limits
 }
 
 // Limits returns the memoized Flimit lookup for the model's corner.
@@ -173,118 +136,52 @@ func (ca *Cache) Limits(m *delay.Model) map[gate.Type]float64 {
 // keyed by process corner + path signature. The path itself is never
 // mutated: the solvers run on throwaway clones. The sizing options are
 // not part of the key — a cache belongs to one Engine, whose options
-// are fixed at construction.
-func (ca *Cache) Bounds(m *delay.Model, pa *delay.Path, opts sizing.Options) (tmin, tmax float64, err error) {
+// are fixed at construction. Waiting on another caller's computation
+// of the same key honors ctx.
+func (ca *Cache) Bounds(ctx context.Context, m *delay.Model, pa *delay.Path, opts sizing.Options) (tmin, tmax float64, err error) {
 	key := boundsKey(m.Proc.Name + "/" + PathSignature(pa))
-	ca.mu.Lock()
-	e, ok := ca.bounds[key]
-	if !ok {
-		e = &boundsEntry{}
-		ca.bounds[key] = e
-		ca.boundsOrder = append(ca.boundsOrder, key)
-		if len(ca.boundsOrder) > MaxBoundsEntries {
-			oldest := ca.boundsOrder[0]
-			ca.boundsOrder = ca.boundsOrder[1:]
-			// Holders of the evicted entry's pointer still complete
-			// their latch safely; only the map slot is recycled.
-			delete(ca.bounds, oldest)
-			ca.metrics.memoEvict(memoBounds)
-		}
-	}
-	ca.mu.Unlock()
-	if ok {
-		ca.metrics.memoHit(memoBounds)
-	} else {
-		ca.metrics.memoMiss(memoBounds)
-	}
-	e.once.Do(func() {
-		e.tmax = sizing.Tmax(m, pa.Clone())
+	b, err := ca.bounds.do(ctx, ca.metrics, key, func() (pathBounds, error) {
+		tmax := sizing.Tmax(m, pa.Clone())
 		r, err := sizing.Tmin(m, pa.Clone(), opts)
 		if err != nil {
-			e.err = err
-			return
+			return pathBounds{}, err
 		}
-		e.tmin = r.Delay
+		return pathBounds{tmin: r.Delay, tmax: tmax}, nil
 	})
-	return e.tmin, e.tmax, e.err
+	return b.tmin, b.tmax, err
 }
 
 // Result returns the memoized outcome of one optimization task,
-// computing it at most once per key across all workers of the engine.
-// Concurrent callers with the same key block on the first computation
-// (their own pool slots stay held, but the latch never waits on a
-// slot, so the pool cannot deadlock). Failed computations are evicted
-// immediately and never latched, so a cancelled context does not
-// poison the key; a waiter that observes another caller's failure
-// retries with its own computation rather than inheriting an error —
-// such as a cancellation — that belongs to someone else's context.
-// Waiting itself is cancellable: a waiter whose own ctx expires
-// returns immediately (releasing its pool slot) instead of blocking
-// for the duration of someone else's computation.
+// computing it at most once per key across all workers of the engine
+// (see memo for the latch, cancellation and failure rules). Concurrent
+// callers with the same key block on the first computation (their own
+// pool slots stay held, but the latch never waits on a slot, so the
+// pool cannot deadlock).
+//
+// Second tier: a memo miss probes the durable store before paying for
+// a computation. A tier hit latches into the memo exactly like a
+// computed result, so every waiter on this key is served, and it is
+// never written back. A corrupt or unreadable record counts as a store
+// error and falls through to computation. A computed result is written
+// through after its waiters are released (repairing any corrupt
+// record).
 func (ca *Cache) Result(ctx context.Context, key taskKey, compute func() (*OptimizeResult, error)) (*OptimizeResult, error) {
-	for {
-		ca.mu.Lock()
-		e, ok := ca.results[key]
-		if !ok {
-			break // compute it ourselves, mu still held
-		}
-		ca.mu.Unlock()
-		ca.metrics.memoHit(memoResult)
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if e.err == nil {
-			return e.res, nil
-		}
-		// The computing caller failed (its entry is already evicted);
-		// loop and run our own computation under our own context.
+	res, e, err := ca.results.claim(ctx, ca.metrics, key)
+	if err != nil || e == nil {
+		return res, err
 	}
-	e := &resultEntry{done: make(chan struct{})}
-	ca.results[key] = e
-	ca.resultOrder = append(ca.resultOrder, key)
-	if len(ca.resultOrder) > MaxResultEntries {
-		oldest := ca.resultOrder[0]
-		ca.resultOrder = ca.resultOrder[1:]
-		delete(ca.results, oldest)
-		ca.metrics.memoEvict(memoResult)
-	}
-	ca.mu.Unlock()
-	ca.metrics.memoMiss(memoResult)
-
-	// Second tier: a memo miss probes the durable store before paying
-	// for a computation. A hit latches into the memory memo exactly like
-	// a computed result, so every waiter on this key is served; a
-	// corrupt or unreadable record counts as a store error and falls
-	// through to computation (the write-through below repairs it).
 	if ca.tier != nil {
 		if res, ok := ca.tierGet(key); ok {
-			e.res = res
-			close(e.done)
-			return e.res, nil
+			ca.results.settle(key, e, res, nil)
+			return res, nil
 		}
 	}
-
-	e.res, e.err = compute()
-	if e.err != nil {
-		ca.mu.Lock()
-		if ca.results[key] == e {
-			delete(ca.results, key)
-			for i, k := range ca.resultOrder {
-				if k == key {
-					ca.resultOrder = append(ca.resultOrder[:i], ca.resultOrder[i+1:]...)
-					break
-				}
-			}
-		}
-		ca.mu.Unlock()
+	res, err = compute()
+	ca.results.settle(key, e, res, err)
+	if err == nil && ca.tier != nil {
+		ca.tierPut(key, res)
 	}
-	close(e.done)
-	if ca.tier != nil && e.err == nil {
-		ca.tierPut(key, e.res)
-	}
-	return e.res, e.err
+	return res, err
 }
 
 // tierGet probes the durable tier for a memoized task, reporting

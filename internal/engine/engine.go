@@ -325,9 +325,9 @@ type OptimizeResult struct {
 	FromBounds bool // bounds served from the shared cache
 }
 
-// Optimize runs the full circuit protocol for one request. The round
-// loop drives core.OptimizeStep directly so cancellation is honored
-// between rounds; the assembled outcome is identical to
+// Optimize runs the full circuit protocol for one request as one pool
+// task: core.Protocol.Run over a per-task timing session, with
+// cancellation honored between rounds; the outcome is identical to
 // core.OptimizeCircuit on the same inputs.
 func (e *Engine) Optimize(ctx context.Context, req OptimizeRequest) (*OptimizeResult, error) {
 	src, err := e.resolveSource(req.Circuit, req.Bench, req.parsed)
@@ -416,7 +416,7 @@ func (e *Engine) computeTask(ctx context.Context, req OptimizeRequest, src *sour
 		if err != nil {
 			return nil, err
 		}
-		tmin, tmax, err := e.cache.Bounds(e.model, pa, e.cfg.Sizing)
+		tmin, tmax, err := e.cache.Bounds(ctx, e.model, pa, e.cfg.Sizing)
 		if err != nil {
 			return nil, err
 		}
@@ -432,12 +432,11 @@ func (e *Engine) computeTask(ctx context.Context, req OptimizeRequest, src *sour
 		tc = ratio * tb.tmin
 	}
 
-	var out *core.CircuitOutcome
+	var leak *leakage.Options
 	if req.Leakage {
-		out, err = proto.OptimizeWithLeakageSession(ctx, sess, tc, e.cfg.Leakage)
-	} else {
-		out, err = proto.OptimizeSession(ctx, sess, tc)
+		leak = &e.cfg.Leakage
 	}
+	out, err := proto.Run(ctx, sess, tc, leak)
 	if err != nil {
 		return nil, err
 	}
@@ -558,7 +557,7 @@ func (e *Engine) Sweep(ctx context.Context, req SweepRequest) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	tmin, tmax, err := e.cache.Bounds(e.model, pa, e.cfg.Sizing)
+	tmin, tmax, err := e.cache.Bounds(ctx, e.model, pa, e.cfg.Sizing)
 	if err != nil {
 		return nil, err
 	}

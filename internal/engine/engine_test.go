@@ -176,7 +176,7 @@ func TestCacheBoundsMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmin1, tmax1, err := e.cache.Bounds(e.Model(), pa1, sizing.Options{})
+	tmin1, tmax1, err := e.cache.Bounds(context.Background(), e.Model(), pa1, sizing.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,15 +187,15 @@ func TestCacheBoundsMemoized(t *testing.T) {
 	if PathSignature(pa1) != PathSignature(pa2) {
 		t.Fatal("regenerated benchmark changed its path signature")
 	}
-	tmin2, tmax2, err := e.cache.Bounds(e.Model(), pa2, sizing.Options{})
+	tmin2, tmax2, err := e.cache.Bounds(context.Background(), e.Model(), pa2, sizing.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tmin1 != tmin2 || tmax1 != tmax2 {
 		t.Fatalf("cache returned different bounds: %v/%v vs %v/%v", tmin1, tmax1, tmin2, tmax2)
 	}
-	if len(e.cache.bounds) != 1 {
-		t.Fatalf("expected one bounds entry, have %d", len(e.cache.bounds))
+	if e.cache.bounds.len() != 1 {
+		t.Fatalf("expected one bounds entry, have %d", e.cache.bounds.len())
 	}
 }
 

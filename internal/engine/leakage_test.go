@@ -168,8 +168,8 @@ func TestLeakageDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestLeakageMatchesSequential pins the engine's leakage path to the
-// sequential protocol: OptimizeWithLeakage on a fresh circuit must be
-// byte-identical to the engine result, including the Vt census.
+// sequential protocol: a leakage-aware Protocol.Run on a fresh circuit
+// must be byte-identical to the engine result, including the Vt census.
 func TestLeakageMatchesSequential(t *testing.T) {
 	const name = "c432"
 	const ratio = 1.4
@@ -267,9 +267,7 @@ func TestResultMemoEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ca.mu.Lock()
-	n := len(ca.results)
-	ca.mu.Unlock()
+	n := ca.results.len()
 	if n > MaxResultEntries {
 		t.Fatalf("memo grew to %d entries past the %d bound", n, MaxResultEntries)
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/iscas"
@@ -213,6 +214,55 @@ func TestStoreMetricsAccounting(t *testing.T) {
 	}
 	if snap["pops_tasks_total"] != 0 {
 		t.Errorf("warm run computed %v tasks, want 0", snap["pops_tasks_total"])
+	}
+}
+
+// countingStore counts Puts reaching the wrapped tier.
+type countingStore struct {
+	store.Store
+	puts atomic.Int64
+}
+
+func (s *countingStore) Put(key string, value []byte) error {
+	s.puts.Add(1)
+	return s.Store.Put(key, value)
+}
+
+// TestStoreTierHitsNotWrittenBack: a restarted engine serving every
+// task from a populated tier writes nothing back. A tier hit latches in
+// the memo like a computed result, but only computed results are
+// written through; echoing hits back would double the tier's write
+// traffic on every restart.
+func TestStoreTierHitsNotWrittenBack(t *testing.T) {
+	tier := &countingStore{Store: store.NewMemory()}
+	req := SuiteRequest{Benchmarks: []string{"c17", "fpd"}, Ratios: []float64{1.2, 1.5, 2.0}}
+	n := float64(len(req.Benchmarks) * len(req.Ratios))
+
+	cold := newStoreEngine(t, tier)
+	if _, err := cold.Suite(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	if got := cold.MetricsSnapshot()["pops_store_writes_total"]; got != n {
+		t.Fatalf("cold run wrote %v results, want %v", got, n)
+	}
+	putsBefore := tier.puts.Load()
+
+	warm := newStoreEngine(t, tier)
+	for range 2 { // tier hits, then memo hits
+		if _, err := warm.Suite(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := warm.MetricsSnapshot()
+	if got := snap["pops_store_writes_total"]; got != 0 {
+		t.Errorf("restart served from the tier wrote %v results back, want 0", got)
+	}
+	if got := tier.puts.Load(); got != putsBefore {
+		t.Errorf("tier saw %d Puts after the restart, want 0", got-putsBefore)
+	}
+	if snap["pops_store_hits_total"] != n || snap["pops_tasks_total"] != 0 {
+		t.Errorf("restart: store hits %v tasks %v, want %v and 0",
+			snap["pops_store_hits_total"], snap["pops_tasks_total"], n)
 	}
 }
 

@@ -97,11 +97,11 @@ func Assign(ctx context.Context, c *netlist.Circuit, m *delay.Model, tc float64,
 
 // AssignSession is Assign over a caller-supplied incremental timing
 // session (the session's STA configuration governs the slopes; opts.STA
-// is ignored). The combined size-then-assign flow of
-// core.OptimizeWithLeakage threads the sizing rounds' session through
-// here, so the pass starts from the already-propagated timing instead
-// of re-analyzing the circuit, and every promotion check runs on the
-// session's reused buffers.
+// is ignored). The combined size-then-assign flow of core.Protocol.Run
+// threads the sizing rounds' session through here, so the pass starts
+// from the already-propagated timing instead of re-analyzing the
+// circuit, and every promotion check runs on the session's reused
+// buffers.
 func AssignSession(ctx context.Context, sess *sta.Session, tc float64, opts Options) (*Result, error) {
 	c, m := sess.Circuit(), sess.Model()
 	if tc <= 0 {
