@@ -572,6 +572,49 @@ func BenchmarkEngineHTTP(b *testing.B) {
 	}
 }
 
+// BenchmarkOptimizeE2E measures one cold Engine.Optimize per iteration,
+// from .bench text to optimized result, at Tc = 1.5·Tmin: ingest,
+// bounds (Tmin), the protocol's round loop and STA all run inside the
+// timer. Each iteration gets a fresh engine, readied by a c17 optimize
+// outside the timer (library characterization is engine set-up, not
+// per-request work), so no memo ever hits. mix50000 is the large-design
+// row the sizing polish dominates; c7552 is the largest suite circuit.
+// Recorded in BENCH_e2e.json.
+func BenchmarkOptimizeE2E(b *testing.B) {
+	for _, name := range []string{"c7552", "mix50000"} {
+		b.Run(name, func(b *testing.B) {
+			c, err := Benchmark(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := netlist.WriteBench(&buf, c); err != nil {
+				b.Fatal(err)
+			}
+			text := buf.String()
+			var out *engine.OptimizeResult
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				eng, err := NewEngine(EngineConfig{Workers: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Optimize(context.Background(), OptimizeRequest{Circuit: "c17", Ratio: 1.5}); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if out, err = eng.Optimize(context.Background(), OptimizeRequest{Bench: text, Ratio: 1.5}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(out.Outcome.Area, "area-um")
+			b.ReportMetric(out.Outcome.Delay/out.Tc, "delay/tc")
+			b.ReportMetric(float64(out.Outcome.Rounds), "rounds")
+		})
+	}
+}
+
 // --- Timing-session benches (internal/sta; BENCH_sta.json) ---
 
 // staRoundSet and staRounds model the optimizer's hot loop: per round,

@@ -392,7 +392,7 @@ func DistributeWithBuffers(m *delay.Model, pa *delay.Path, tc float64, limits ma
 				return nil, errIns
 			}
 			if mode == Local {
-				sizeInsertedLocally(m, trial, idx+1)
+				sizeInsertedLocally(m, trial, idx+1, opts.Workspace.Probe())
 			}
 			r, errD := distribute(trial)
 			switch {
@@ -440,29 +440,28 @@ func distributeOnce(m *delay.Model, q *delay.Path, tc float64, mode Mode, opts s
 
 // sizeInsertedLocally golden-sections the single inserted buffer at
 // position idx for minimum path delay, holding everything else fixed.
-func sizeInsertedLocally(m *delay.Model, pa *delay.Path, idx int) {
+// The probes go through the incremental evaluator p, which re-evaluates
+// only the stages around idx.
+func sizeInsertedLocally(m *delay.Model, pa *delay.Path, idx int, p *delay.Probe) {
 	lo := m.Proc.CRef
 	hi := math.Max(4*lo, pa.Stages[idx].COff*2)
 	if hi > m.Proc.CMax {
 		hi = m.Proc.CMax
 	}
 	const phi = 0.6180339887498949
-	at := func(x float64) float64 {
-		pa.Stages[idx].CIn = x
-		return m.PathDelayWorst(pa)
-	}
+	p.Load(m, pa)
 	x1 := hi - phi*(hi-lo)
 	x2 := lo + phi*(hi-lo)
-	f1, f2 := at(x1), at(x2)
+	f1, f2 := p.At(idx, x1), p.At(idx, x2)
 	for i := 0; i < 80 && hi-lo > 1e-9*hi; i++ {
 		if f1 < f2 {
 			hi, x2, f2 = x2, x1, f1
 			x1 = hi - phi*(hi-lo)
-			f1 = at(x1)
+			f1 = p.At(idx, x1)
 		} else {
 			lo, x1, f1 = x1, x2, f2
 			x2 = lo + phi*(hi-lo)
-			f2 = at(x2)
+			f2 = p.At(idx, x2)
 		}
 	}
 	if f1 < f2 {
@@ -478,11 +477,16 @@ func sizeInsertedLocally(m *delay.Model, pa *delay.Path, idx int) {
 // recursion refreshes B every sweep, and the frozen-buffer bisection
 // calls solveFrozen hundreds of times per distribution, so this buffer
 // used to dominate the whole round loop's allocation profile.
+//
+// The B slice lives in a local across the sweeps and is stored back
+// through bbuf once, on return: a store through the pointer every sweep
+// puts a store-to-load dependency in the hot loop whose cost depends on
+// the callers' stack layout.
 func solveFrozen(m *delay.Model, pa *delay.Path, a float64, bbuf *[]float64) float64 {
 	n := len(pa.Stages)
+	b := *bbuf
 	for sweep := 0; sweep < 120; sweep++ {
-		*bbuf = m.BCoefficientsInto(*bbuf, pa)
-		b := *bbuf
+		b = m.BCoefficientsInto(b, pa)
 		maxRel := 0.0
 		for i := 1; i < n; i++ {
 			if pa.Stages[i].Inserted {
@@ -505,6 +509,7 @@ func solveFrozen(m *delay.Model, pa *delay.Path, a float64, bbuf *[]float64) flo
 			break
 		}
 	}
+	*bbuf = b
 	return m.PathDelayWorst(pa)
 }
 
@@ -514,7 +519,6 @@ func solveFrozen(m *delay.Model, pa *delay.Path, a float64, bbuf *[]float64) flo
 // re-sizing of each buffer against the current neighborhood and (b) a
 // bisection on the sensitivity a with the buffers pinned.
 func distributeFrozenBuffers(m *delay.Model, pa *delay.Path, tc float64, opts sizing.Options) (*sizing.Result, error) {
-	_ = opts
 	// One B-coefficient scratch serves every solveFrozen sweep of this
 	// distribution (hundreds of bisection probes × up to 120 sweeps).
 	var bbuf []float64
@@ -523,7 +527,7 @@ func distributeFrozenBuffers(m *delay.Model, pa *delay.Path, tc float64, opts si
 		// (a) local buffer sizing against the current sizes.
 		for i := range pa.Stages {
 			if pa.Stages[i].Inserted {
-				sizeInsertedLocally(m, pa, i)
+				sizeInsertedLocally(m, pa, i, opts.Workspace.Probe())
 			}
 		}
 		// (b) frozen-buffer sensitivity bisection.

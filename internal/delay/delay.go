@@ -75,21 +75,39 @@ func (m *Model) millerFactor(ratio, cin, cl float64) float64 {
 // GateDelayHL returns the eq. (1) falling-output delay (ps) of cell c:
 // input rising with transition time tauInLH, load cl.
 func (m *Model) GateDelayHL(c gate.Cell, cin, cl, tauInLH float64) float64 {
-	t := m.millerFactor(m.Proc.MillerHL(), cin, cl) / 2 * m.TransitionHL(c, cin, cl)
-	if m.SlopeEffect {
-		t += m.Proc.VTN / 2 * tauInLH
-	}
-	return t
+	d, _ := m.stageTerm(&c, cin, cl, tauInLH, true)
+	return d
 }
 
 // GateDelayLH returns the eq. (1) rising-output delay (ps) of cell c:
 // input falling with transition time tauInHL, load cl.
 func (m *Model) GateDelayLH(c gate.Cell, cin, cl, tauInHL float64) float64 {
-	t := m.millerFactor(m.Proc.MillerLH(), cin, cl) / 2 * m.TransitionLH(c, cin, cl)
-	if m.SlopeEffect {
-		t += m.Proc.VTP / 2 * tauInHL
+	d, _ := m.stageTerm(&c, cin, cl, tauInHL, false)
+	return d
+}
+
+// stageTerm is the one evaluation of eq. (1-3) for a stage on an
+// alternating-edge path: the delay d of cell c (input capacitance cin,
+// load cl) whose input edge has transition time tauIn — rising input
+// selects the falling-output arc — and the output transition tau it
+// hands to the next stage. The transition depends only on the stage's
+// own C_IN and C_L, never on tauIn, which is what makes a single-stage
+// size change local (see Probe).
+func (m *Model) stageTerm(c *gate.Cell, cin, cl, tauIn float64, rising bool) (d, tau float64) {
+	if rising {
+		tau = m.TransitionHL(*c, cin, cl)
+		d = m.millerFactor(m.Proc.MillerHL(), cin, cl) / 2 * tau
+		if m.SlopeEffect {
+			d += m.Proc.VTN / 2 * tauIn
+		}
+		return d, tau
 	}
-	return t
+	tau = m.TransitionLH(*c, cin, cl)
+	d = m.millerFactor(m.Proc.MillerLH(), cin, cl) / 2 * tau
+	if m.SlopeEffect {
+		d += m.Proc.VTP / 2 * tauIn
+	}
+	return d, tau
 }
 
 // GateDelayMean returns the edge-averaged delay (ps): the optimization
@@ -200,10 +218,21 @@ func (pa *Path) WriteBack() {
 // LoadAt returns the total switched load C_L of stage i (fF): next
 // stage's pin + off-path load + own diffusion parasitic.
 func (pa *Path) LoadAt(i int) float64 {
-	st := &pa.Stages[i]
-	cl := st.COff + st.Cell.Parasitic(st.CIn)
+	var next float64
 	if i+1 < len(pa.Stages) {
-		cl += pa.Stages[i+1].CIn
+		next = pa.Stages[i+1].CIn
+	}
+	return pa.loadWith(i, pa.Stages[i].CIn, next)
+}
+
+// loadWith is LoadAt's arithmetic with stage i sized cin and its path
+// successor (if any) sized next, so a probe can price a size change
+// without writing it into the path.
+func (pa *Path) loadWith(i int, cin, next float64) float64 {
+	st := &pa.Stages[i]
+	cl := st.COff + st.Cell.Parasitic(cin)
+	if i+1 < len(pa.Stages) {
+		cl += next
 	}
 	return cl
 }
@@ -262,15 +291,10 @@ func (m *Model) PathDelayLaunch(pa *Path, risingInput bool) float64 {
 	var total float64
 	for i := range pa.Stages {
 		st := &pa.Stages[i]
-		cl := pa.LoadAt(i)
-		if rising {
-			// Input rising → output falling for inverting cells.
-			total += m.GateDelayHL(st.Cell, st.CIn, cl, tauIn)
-			tauIn = m.TransitionHL(st.Cell, st.CIn, cl)
-		} else {
-			total += m.GateDelayLH(st.Cell, st.CIn, cl, tauIn)
-			tauIn = m.TransitionLH(st.Cell, st.CIn, cl)
-		}
+		// Input rising → output falling for inverting cells.
+		d, tau := m.stageTerm(&st.Cell, st.CIn, pa.LoadAt(i), tauIn, rising)
+		total += d
+		tauIn = tau
 		if st.Cell.Invert {
 			rising = !rising
 		}

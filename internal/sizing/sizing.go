@@ -63,10 +63,21 @@ type Options struct {
 // threaded through Options, a steady-state Tmin/Distribute call
 // performs no heap allocation. The zero value is ready to use.
 type Workspace struct {
-	b     []float64 // BCoefficients buffer, reused every sweep
-	sizes []float64 // sizing snapshot buffer (Distribute)
-	tmin  Result    // result slot for Tmin
-	dist  Result    // result slot for AtSensitivity/Distribute/Sutherland
+	b     []float64   // BCoefficients buffer, reused every sweep
+	sizes []float64   // sizing snapshot buffer (Distribute)
+	probe delay.Probe // line-search probe cache (polish, area trim)
+	tmin  Result      // result slot for Tmin
+	dist  Result      // result slot for AtSensitivity/Distribute/Sutherland
+}
+
+// Probe returns the workspace's line-search probe, or a fresh one on a
+// nil workspace. Callers Load it before use; the cache is only valid
+// until the next line search through the same workspace.
+func (w *Workspace) Probe() *delay.Probe {
+	if w == nil {
+		return &delay.Probe{}
+	}
+	return &w.probe
 }
 
 // bcoefs computes the B coefficients, through the workspace buffer
@@ -211,7 +222,7 @@ func Tmin(m *delay.Model, pa *delay.Path, opts Options) (*Result, error) {
 	// is also convex in the sizes (a max of convex functions), so a
 	// coordinate golden-section descent converges to its optimum.
 	if !o.NoPolish {
-		polishWorstEdge(m, pa)
+		polishWorstEdge(m, pa, o.Workspace.Probe())
 		if !o.NoTrace {
 			res.Iterations = append(res.Iterations, IterationPoint{
 				Sweep:     res.Sweeps + 1,
@@ -227,10 +238,16 @@ func Tmin(m *delay.Model, pa *delay.Path, opts Options) (*Result, error) {
 }
 
 // polishWorstEdge performs cyclic coordinate descent on the worst-edge
-// path delay, one golden-section line search per interior stage.
-func polishWorstEdge(m *delay.Model, pa *delay.Path) {
+// path delay, one golden-section line search per interior stage: at
+// most 8 sweeps × (n−1) stages × ~50 probes. Each probe goes through
+// the incremental evaluator p, which re-evaluates only the three stages
+// a size change touches and re-adds the cached suffix: O(1) gate
+// evaluations plus O(n−i) adds per probe, bit-identical to a full
+// PathDelayWorst. Only accepted steps are written into the path.
+func polishWorstEdge(m *delay.Model, pa *delay.Path, p *delay.Probe) {
 	const phi = 0.6180339887498949
 	n := len(pa.Stages)
+	p.Load(m, pa)
 	cur := m.PathDelayWorst(pa)
 	for sweep := 0; sweep < 8; sweep++ {
 		improved := false
@@ -241,22 +258,18 @@ func polishWorstEdge(m *delay.Model, pa *delay.Path) {
 			x0 := pa.Stages[i].CIn
 			lo := math.Max(m.Proc.CRef, x0/4)
 			hi := math.Min(m.Proc.CMax, x0*4)
-			at := func(x float64) float64 {
-				pa.Stages[i].CIn = x
-				return m.PathDelayWorst(pa)
-			}
 			x1 := hi - phi*(hi-lo)
 			x2 := lo + phi*(hi-lo)
-			f1, f2 := at(x1), at(x2)
+			f1, f2 := p.At(i, x1), p.At(i, x2)
 			for it := 0; it < 48 && hi-lo > 1e-9*hi; it++ {
 				if f1 < f2 {
 					hi, x2, f2 = x2, x1, f1
 					x1 = hi - phi*(hi-lo)
-					f1 = at(x1)
+					f1 = p.At(i, x1)
 				} else {
 					lo, x1, f1 = x1, x2, f2
 					x2 = lo + phi*(hi-lo)
-					f2 = at(x2)
+					f2 = p.At(i, x2)
 				}
 			}
 			best, bx := f1, x1
@@ -264,11 +277,9 @@ func polishWorstEdge(m *delay.Model, pa *delay.Path) {
 				best, bx = f2, x2
 			}
 			if best < cur*(1-1e-12) {
-				pa.Stages[i].CIn = bx
+				p.Set(i, bx)
 				cur = best
 				improved = true
-			} else {
-				pa.Stages[i].CIn = x0
 			}
 		}
 		if !improved {
@@ -466,7 +477,7 @@ func Distribute(m *delay.Model, pa *delay.Path, tc float64, opts Options) (*Resu
 	// feasible set in each coordinate is an interval (convexity), so
 	// per-stage bisection toward the lower boundary is sound.
 	if !opts.NoPolish {
-		trimArea(m, pa, tc)
+		trimArea(m, pa, tc, o.Workspace.Probe())
 		r.Delay = m.PathDelayWorst(pa)
 		r.MeanDelay = m.PathDelayMean(pa)
 		r.Area = pa.Area(m.Proc)
@@ -475,9 +486,12 @@ func Distribute(m *delay.Model, pa *delay.Path, tc float64, opts Options) (*Resu
 }
 
 // trimArea shrinks each stage toward the smallest size that keeps the
-// worst-edge path delay within tc, sweeping until no stage moves.
-func trimArea(m *delay.Model, pa *delay.Path, tc float64) {
+// worst-edge path delay within tc, sweeping until no stage moves. The
+// feasibility probes go through the incremental evaluator p (see
+// polishWorstEdge).
+func trimArea(m *delay.Model, pa *delay.Path, tc float64, p *delay.Probe) {
 	n := len(pa.Stages)
+	p.Load(m, pa)
 	for sweep := 0; sweep < 3; sweep++ {
 		moved := false
 		for i := 1; i < n; i++ {
@@ -486,8 +500,8 @@ func trimArea(m *delay.Model, pa *delay.Path, tc float64) {
 			if lo >= hi {
 				continue
 			}
-			pa.Stages[i].CIn = lo
-			if m.PathDelayWorst(pa) <= tc {
+			if p.At(i, lo) <= tc {
+				p.Set(i, lo)
 				if cur != lo {
 					moved = true
 				}
@@ -497,14 +511,13 @@ func trimArea(m *delay.Model, pa *delay.Path, tc float64) {
 			// precision is plenty for an area cleanup.
 			for it := 0; it < 14 && hi-lo > 1e-3*hi; it++ {
 				mid := (lo + hi) / 2
-				pa.Stages[i].CIn = mid
-				if m.PathDelayWorst(pa) <= tc {
+				if p.At(i, mid) <= tc {
 					hi = mid
 				} else {
 					lo = mid
 				}
 			}
-			pa.Stages[i].CIn = hi
+			p.Set(i, hi)
 			if hi < cur*(1-1e-3) {
 				moved = true
 			}
